@@ -25,9 +25,8 @@
 //! byte-identical), steady-state write amplification measured over the
 //! run phase from device counters, and p50/p99 latency.
 
-use crate::ycsb::{
-    self, YcsbBackend, YcsbConfig, YcsbGet, YcsbPut, YcsbReport, YcsbScan, YcsbWorkload,
-};
+use crate::driver::RunReport;
+use crate::ycsb::{self, YcsbBackend, YcsbConfig, YcsbGet, YcsbPut, YcsbScan, YcsbWorkload};
 use ocssd::{CellType, DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig};
 use ox_core::{Media, OcssdMedia};
@@ -63,7 +62,7 @@ pub const RECORD_SECTORS: u64 = 3;
 
 const FAIL_BACKOFF: SimDuration = SimDuration::from_micros(100);
 
-/// Recovers the key id [`oxshard::workload_key`] embeds in its low half.
+/// Recovers the key id [`crate::ycsb::workload_key`] embeds in its low half.
 fn key_id(key: &[u8]) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&key[8..16]);
@@ -83,6 +82,7 @@ fn pad_record(value: &[u8]) -> Vec<u8> {
 pub struct BlockAblation {
     ftl: Arc<Mutex<BlockFtl>>,
     value_bytes: usize,
+    obs: Obs,
 }
 
 impl BlockAblation {
@@ -105,6 +105,7 @@ impl BlockAblation {
             BlockAblation {
                 ftl: Arc::new(Mutex::new(ftl)),
                 value_bytes,
+                obs: obs.clone(),
             },
             t,
         )
@@ -161,13 +162,20 @@ impl YcsbBackend for BlockAblation {
     }
 
     fn maintain(&mut self, now: SimTime) -> Option<SimTime> {
+        // A failed pass (e.g. GC with the spare pool gone) is counted, not
+        // silently dropped; the next maintenance tick retries.
         let mut ftl = self.ftl.lock();
-        if let Ok(Some(done)) = ftl.maybe_checkpoint(now) {
-            return Some(done);
+        match ftl.maybe_checkpoint(now) {
+            Ok(Some(done)) => return Some(done),
+            Ok(None) => {}
+            Err(_) => self.obs.metrics.record("oxblock.maintain_error", 0),
         }
         match ftl.maybe_gc(now) {
-            Ok(Some(pass)) => Some(pass.done),
-            _ => None,
+            Ok(pass) => pass.map(|p| p.done),
+            Err(_) => {
+                self.obs.metrics.record("oxblock.maintain_error", 0);
+                None
+            }
         }
     }
 }
@@ -380,7 +388,7 @@ pub struct AblationCell {
     /// Workload.
     pub workload: YcsbWorkload,
     /// The YCSB report (virtual-time throughput and latency).
-    pub report: YcsbReport,
+    pub report: RunReport,
     /// Physical bytes the device wrote during the measured phase
     /// (program traffic + internal copies).
     pub phys_write_bytes: u64,

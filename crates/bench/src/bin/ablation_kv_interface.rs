@@ -15,9 +15,9 @@
 //! Usage: `cargo run --release -p ox-bench --bin ablation_kv_interface [--quick]`
 
 use lightlsm::{LightLsm, LightLsmConfig};
-use lsmkv::bench::{bench_key, bench_value};
 use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, TableStore};
 use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
+use ox_bench::dbbench::{bench_key, bench_value};
 use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
 use ox_core::{Media, OcssdMedia};
 use ox_kvssd::{KvSsd, KvSsdConfig};

@@ -39,9 +39,9 @@ fn main() {
     print_sep(&widths);
     type Metric = fn(&ox_bench::fig5::Fig5Cell) -> f64;
     let rows: [(&str, Metric); 3] = [
-        ("fill-sequential", |c| c.fill.kops_per_sec),
-        ("read-sequential", |c| c.read_seq.kops_per_sec),
-        ("read-random", |c| c.read_random.kops_per_sec),
+        ("fill-sequential", |c| c.fill.kops_per_sec()),
+        ("read-sequential", |c| c.read_seq.kops_per_sec()),
+        ("read-random", |c| c.read_random.kops_per_sec()),
     ];
     for (name, metric) in rows {
         for placement in [Placement::Horizontal, Placement::Vertical] {
@@ -55,11 +55,11 @@ fn main() {
     }
     println!("(all numbers: thousands of operations per virtual second)\n");
 
-    let h1 = result.cell(Placement::Horizontal, 1).fill.kops_per_sec;
-    let v1 = result.cell(Placement::Vertical, 1).fill.kops_per_sec;
-    let h2 = result.cell(Placement::Horizontal, 2).fill.kops_per_sec;
-    let h8 = result.cell(Placement::Horizontal, 8).fill.kops_per_sec;
-    let v8 = result.cell(Placement::Vertical, 8).fill.kops_per_sec;
+    let h1 = result.cell(Placement::Horizontal, 1).fill.kops_per_sec();
+    let v1 = result.cell(Placement::Vertical, 1).fill.kops_per_sec();
+    let h2 = result.cell(Placement::Horizontal, 2).fill.kops_per_sec();
+    let h8 = result.cell(Placement::Horizontal, 8).fill.kops_per_sec();
+    let v8 = result.cell(Placement::Vertical, 8).fill.kops_per_sec();
     println!("shape checks vs. the paper:");
     println!(
         "  fill 1 client: horizontal/vertical = {:.1}x (paper ~4x)",
@@ -73,11 +73,14 @@ fn main() {
         "  fill 8 clients: vertical/horizontal = {:.1}x (paper ~2x)",
         v8 / h8
     );
-    let rs1 = result.cell(Placement::Horizontal, 1).read_seq.kops_per_sec;
+    let rs1 = result
+        .cell(Placement::Horizontal, 1)
+        .read_seq
+        .kops_per_sec();
     let rr1 = result
         .cell(Placement::Horizontal, 1)
         .read_random
-        .kops_per_sec;
+        .kops_per_sec();
     println!(
         "  read-seq / read-random (1 client, horizontal): {:.1}x (paper ~13x)",
         rs1 / rr1

@@ -34,8 +34,8 @@ fn main() {
             println!("[{}]", series.join(", "));
             println!(
                 "    duration {:.2}s  mean {:.1} kops/s  peak {:.1} kops/s",
-                line.report.duration.as_secs_f64(),
-                line.report.kops_per_sec,
+                line.report.duration().as_secs_f64(),
+                line.report.kops_per_sec(),
                 line.report.series.peak_rate() / 1000.0
             );
         }
@@ -46,22 +46,22 @@ fn main() {
     let h1 = result
         .line(Placement::Horizontal, 1)
         .report
-        .duration
+        .duration()
         .as_secs_f64();
     let h8 = result
         .line(Placement::Horizontal, 8)
         .report
-        .duration
+        .duration()
         .as_secs_f64();
     let v1 = result
         .line(Placement::Vertical, 1)
         .report
-        .duration
+        .duration()
         .as_secs_f64();
     let v8 = result
         .line(Placement::Vertical, 8)
         .report
-        .duration
+        .duration()
         .as_secs_f64();
     println!(
         "  horizontal completion time grows with clients: 1c {h1:.2}s -> 8c {h8:.2}s ({:.1}x slower per op; paper: 'time to complete increases significantly')",
@@ -75,7 +75,7 @@ fn main() {
     println!(
         "  vertical 1 client: peak {:.0} kops vs mean {:.0} kops (paper: 'a peak of throughput for a single thread even though the average is the lowest')",
         v1_line.report.series.peak_rate() / 1000.0,
-        v1_line.report.kops_per_sec
+        v1_line.report.kops_per_sec()
     );
     export_obs("fig6_timeline", &obs);
 }

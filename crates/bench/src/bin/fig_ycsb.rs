@@ -13,14 +13,16 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig_ycsb [--quick]`
 
 use lightlsm::Placement;
+use ox_bench::driver::RunReport;
 use ox_bench::fig5::make_db_with_store_obs;
 use ox_bench::ycsb::{
-    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
+    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, SharedCluster, YcsbBackend,
+    YcsbConfig, YcsbWorkload,
 };
 use ox_bench::{export_obs, figure_obs, quick_mode};
 use ox_sim::sync::Mutex;
 use ox_sim::SimTime;
-use oxshard::{ClusterConfig, ShardCluster, SharedCluster};
+use oxshard::{ClusterConfig, ShardCluster};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -41,10 +43,10 @@ fn row(out: &mut String, cells: &[String], widths: &[usize]) {
     let _ = writeln!(out, "{line}");
 }
 
-fn report_cells(r: &YcsbReport) -> Vec<String> {
+fn report_cells(wl: YcsbWorkload, backend: &str, r: &RunReport) -> Vec<String> {
     vec![
-        r.workload.letter().to_string(),
-        r.backend.to_string(),
+        wl.letter().to_string(),
+        backend.to_string(),
         r.total_ops.to_string(),
         format!("{:.1}", r.kops_per_sec()),
         format!("{:.1}", r.quantile_ns(0.50) as f64 / 1000.0),
@@ -114,7 +116,7 @@ fn main() {
         let (report, t_done) = run_ycsb(&lsm, &cfg, &obs, t0);
         dev.publish_pu_metrics(t_done);
         dev.publish_health_metrics(t_done);
-        row(&mut out, &report_cells(&report), &widths);
+        row(&mut out, &report_cells(wl, lsm.label(), &report), &widths);
 
         // Sharded stack: same workload fanned over SHARDS devices. The
         // test-scale default of 16 MiB per shard is one 4 KiB slot per
@@ -129,7 +131,7 @@ fn main() {
         let t0 = load(&mut shard, &cfg, tc);
         eprintln!("[{}] oxshard run...", wl.letter());
         let (report, _) = run_ycsb(&shard, &cfg, &obs, t0);
-        row(&mut out, &report_cells(&report), &widths);
+        row(&mut out, &report_cells(wl, shard.label(), &report), &widths);
     }
 
     let _ = writeln!(

@@ -14,8 +14,9 @@
 //! * horizontal ≥ vertical for reads.
 
 use crate::backend::BenchBackend;
+use crate::dbbench::{run_workload, BenchConfig, Workload};
+use crate::driver::RunReport;
 use lightlsm::{LightLsm, LightLsmConfig, Placement};
-use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_core::{Media, OcssdMedia};
@@ -31,11 +32,11 @@ pub struct Fig5Cell {
     /// Client count.
     pub clients: usize,
     /// fill-sequential report.
-    pub fill: BenchReport,
+    pub fill: RunReport,
     /// read-sequential report.
-    pub read_seq: BenchReport,
+    pub read_seq: RunReport,
     /// read-random report.
-    pub read_random: BenchReport,
+    pub read_random: RunReport,
 }
 
 /// Whole-figure output.

@@ -7,9 +7,10 @@
 //! a lower single-client peak but its completion time stays stable (or
 //! shrinks) as clients are added.
 
+use crate::dbbench::{run_workload, BenchConfig, Workload};
+use crate::driver::RunReport;
 use crate::fig5::{make_db_with_store_obs, Fig5Config};
 use lightlsm::Placement;
-use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 
@@ -21,7 +22,7 @@ pub struct Fig6Line {
     /// Client count.
     pub clients: usize,
     /// The fill report (including the throughput time series).
-    pub report: BenchReport,
+    pub report: RunReport,
 }
 
 /// Whole-figure output.

@@ -7,6 +7,8 @@
 //! |---|---|
 //! | [`ablation`] | §5 — cross-interface YCSB ablation (block / ZTL / KV) |
 //! | [`backend`] | `OX_BACKEND` knob — native media vs. the `oxztl` layer |
+//! | [`dbbench`] | §4.3 — db_bench fillseq/readseq/readrandom op generators |
+//! | [`driver`] | the closed-loop KV client driver every KV figure runs on |
 //! | [`fig3`] | Figure 3 — checkpoint interval vs. recovery time |
 //! | [`fig5`] | Figure 5 — db_bench throughput, horizontal vs. vertical |
 //! | [`fig6`] | Figure 6 — fill-sequential throughput over time |
@@ -14,8 +16,8 @@
 //! | [`gc_locality`] | §4.3 — GC interference locality (93.75 % / 87.5 %) |
 //! | [`lifetime`] | ROADMAP — wear-coupled aging, scrub vs. no scrub |
 //! | [`qos_tail`] | §4.3 — isolation as per-tenant read-latency percentiles |
-//! | [`shard_scale`] | ROADMAP — aggregate throughput, 1→32 sharded devices |
-//! | [`ycsb`] | ROADMAP — YCSB A–F over lsmkv and the oxshard layer |
+//! | [`shard_scale`] | ROADMAP — the shard mix; aggregate throughput, 1→32 devices |
+//! | [`ycsb`] | ROADMAP — YCSB A–F mixes and the `YcsbBackend` stacks they drive |
 //!
 //! Scale note: the simulated drive uses the paper geometry with chunk count
 //! and chunk size divided down (ratios preserved), and workload volumes are
@@ -28,6 +30,8 @@
 
 pub mod ablation;
 pub mod backend;
+pub mod dbbench;
+pub mod driver;
 pub mod fig3;
 pub mod fig5;
 pub mod fig6;

@@ -20,6 +20,7 @@
 //! target: scrub-on holds the end-of-life read error rate well under
 //! scrub-off at equal workload, and both legs reach a steady WAF.
 
+use crate::ycsb::{scramble, Zipfian};
 use iosched::{
     ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig, TenantId,
 };
@@ -189,35 +190,6 @@ pub fn lifetime_geometry() -> Geometry {
 /// visible steady-state WAF.
 const LOGICAL_BYTES: u64 = 96 << 20;
 
-/// Zipfian sampler over ranked units (θ = 0.99), ranks scattered over the
-/// keyspace by a multiplicative hash so the hot set is not one contiguous
-/// extent.
-struct Zipf {
-    cum: Vec<f64>,
-    n: usize,
-}
-
-impl Zipf {
-    fn new(n: usize, theta: f64) -> Zipf {
-        let mut cum = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += 1.0 / ((i + 1) as f64).powf(theta);
-            cum.push(acc);
-        }
-        for c in &mut cum {
-            *c /= acc;
-        }
-        Zipf { cum, n }
-    }
-
-    fn sample(&self, rng: &mut Prng) -> usize {
-        let u = rng.gen_range(1 << 53) as f64 / (1u64 << 53) as f64;
-        let rank = self.cum.partition_point(|&c| c < u).min(self.n - 1);
-        rank.wrapping_mul(0x9E37_79B1) % self.n
-    }
-}
-
 struct Leg {
     dev: SharedDevice,
     #[allow(dead_code)]
@@ -365,7 +337,7 @@ fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
         }
     }
 
-    let zipf = Zipf::new(fill_units as usize, 0.99);
+    let zipf = Zipfian::new(fill_units, 0.99);
     let mut wrng = Prng::seed_from_u64(cfg.seed ^ 0x217F_0001);
     let mut prng = Prng::seed_from_u64(cfg.seed ^ 0x217F_0002);
 
@@ -378,7 +350,7 @@ fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
         let mut ops = 0usize;
         if !degraded {
             for i in 0..cfg.churn_per_window {
-                let unit = zipf.sample(&mut wrng) as u64;
+                let unit = scramble(zipf.next(&mut wrng), fill_units);
                 match leg.ftl.write(t, unit * unit_pages, &data) {
                     Ok(out) => {
                         t = out.done;

@@ -12,11 +12,129 @@
 //! shards, with per-shard p99 attribution (min/max across the fleet) in both
 //! the printed table and the exported obs dump.
 
+use crate::driver::{ClosedLoop, OpClass, OpGen, Outcome, RunReport};
+use crate::ycsb::{workload_key, ShardBackend, SharedCluster, YcsbBackend};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::SimTime;
-use oxshard::{drive, ClusterConfig, ShardCluster, SharedCluster, WorkloadConfig};
+use ox_sim::{Prng, SimDuration, SimTime, Step};
+use oxshard::{ClusterConfig, ShardCluster};
 use std::sync::Arc;
+
+/// The shard figure's client mix: uniform keys, point reads, optional
+/// scans, and upserts of random bytes.
+#[derive(Clone, Debug)]
+pub struct ShardMix {
+    /// Number of concurrent closed-loop clients.
+    pub clients: usize,
+    /// Operations each client issues.
+    pub ops_per_client: usize,
+    /// Value payload size in bytes.
+    pub value_bytes: usize,
+    /// Fraction of operations that are point reads (the rest are upserts).
+    pub read_fraction: f64,
+    /// Fraction of operations that are ordered scans (carved out of the
+    /// non-read remainder before upserts).
+    pub scan_fraction: f64,
+    /// Maximum scan length; each scan draws uniformly from `1..=max`.
+    pub max_scan_len: usize,
+    /// Number of distinct keys addressed by the workload.
+    pub key_space: u64,
+    /// Seed for key choice and read/write mix.
+    pub seed: u64,
+    /// Period of the cluster maintenance tick.
+    pub maintain_every: SimDuration,
+}
+
+impl ShardMix {
+    /// A read-mostly closed loop sized for tests.
+    pub fn new(clients: usize, ops_per_client: usize) -> ShardMix {
+        ShardMix {
+            clients,
+            ops_per_client,
+            value_bytes: 128,
+            read_fraction: 0.5,
+            scan_fraction: 0.0,
+            max_scan_len: 16,
+            key_space: 4096,
+            seed: 0x0C55D,
+            maintain_every: SimDuration::from_millis(10),
+        }
+    }
+}
+
+/// One shard-mix client's operation stream.
+struct ShardMixGen {
+    mix: ShardMix,
+    rng: Prng,
+}
+
+impl<B: YcsbBackend> OpGen<B> for ShardMixGen {
+    fn issue(&mut self, now: SimTime, backend: &mut B) -> Outcome {
+        let key = workload_key(self.rng.gen_range(self.mix.key_space));
+        let dice = self.rng.gen_f64();
+        let read = dice < self.mix.read_fraction;
+        // Typed faults (e.g. injected device failures) are counted and the
+        // client backs off one tick rather than abort the whole run.
+        if !read && dice < self.mix.read_fraction + self.mix.scan_fraction {
+            // Ordered scatter-gather scan; latency is cluster-wide, not
+            // attributable to a single shard.
+            let limit = 1 + self.rng.gen_range(self.mix.max_scan_len.max(1) as u64) as usize;
+            let out = backend.scan(now, &key, limit);
+            if out.failed {
+                return Outcome::Failed(out.done);
+            }
+            return Outcome::Done {
+                class: OpClass::Scan,
+                done: out.done,
+                failed: false,
+                scanned: out.entries,
+            };
+        }
+        if read {
+            let got = backend.get(now, &key);
+            if got.failed {
+                return Outcome::Failed(got.done);
+            }
+            return Outcome::done(OpClass::Read, got.done);
+        }
+        let mut value = vec![0u8; self.mix.value_bytes];
+        self.rng.fill_bytes(&mut value);
+        backend.put(now, &key, &value).into()
+    }
+}
+
+/// Runs `mix` against `cluster` starting at `start`, to completion.
+///
+/// Clients are staggered over the first microsecond so the heap does not
+/// see a thundering herd at one instant; the cluster's maintenance pass
+/// ticks at a fixed period until the last client finishes.
+pub fn run_mix(cluster: &SharedCluster, mix: &ShardMix, start: SimTime) -> RunReport {
+    let mut run = ClosedLoop::new(start, SimDuration::from_secs(1), None);
+    let backend = ShardBackend::new(cluster.clone());
+    let mut rng = Prng::seed_from_u64(mix.seed);
+    for c in 0..mix.clients {
+        let gen = ShardMixGen {
+            mix: mix.clone(),
+            rng: rng.split(c as u64),
+        };
+        let jitter = SimDuration::from_nanos(rng.gen_range(1000));
+        run.client(
+            start + jitter,
+            backend.clone(),
+            gen,
+            mix.ops_per_client as u64,
+        );
+    }
+    let period = mix.maintain_every;
+    let cluster = cluster.clone();
+    run.background(start + period, move |now| {
+        // Maintenance failures under fault pressure are survivable; the
+        // next tick retries.
+        let _ = cluster.lock().maintain(now);
+        Step::RunAt(now + period)
+    });
+    run.run()
+}
 
 /// One cluster size in the sweep.
 #[derive(Clone, Debug)]
@@ -95,10 +213,10 @@ pub fn run_with_obs(
         let shared: SharedCluster = Arc::new(Mutex::new(cluster));
 
         let clients = clients_per_shard * n as usize;
-        let mut w = WorkloadConfig::new(clients, ops_per_client);
-        w.key_space = (clients * ops_per_client) as u64;
-        w.seed = 0x5CA1_E000 ^ n as u64;
-        let report = drive(&shared, &w, t0);
+        let mut mix = ShardMix::new(clients, ops_per_client);
+        mix.key_space = (clients * ops_per_client) as u64;
+        mix.seed = 0x5CA1_E000 ^ n as u64;
+        let report = run_mix(&shared, &mix, t0);
 
         let c = shared.lock();
         c.publish_metrics(report.end);
@@ -116,7 +234,7 @@ pub fn run_with_obs(
             clients,
             total_ops: report.total_ops,
             failed_ops: report.failed_ops,
-            kops_per_sec: report.ops_per_sec() / 1e3,
+            kops_per_sec: report.kops_per_sec(),
             p99_min_us: p99_min as f64 / 1e3,
             p99_max_us: p99_max as f64 / 1e3,
         });
@@ -131,6 +249,7 @@ pub fn run_with_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::LatencyStats;
 
     #[test]
     fn throughput_scales_near_linearly_to_eight_shards() {
@@ -159,6 +278,45 @@ mod tests {
             "1→8 shards scaled only {scale:.2}× (need ≥ 6.4×): {:?}",
             r.points
         );
+    }
+
+    fn two_shards() -> (SharedCluster, SimTime) {
+        let (cluster, t0) =
+            ShardCluster::new(ClusterConfig::new(2), Obs::new(4096), SimTime::ZERO).unwrap();
+        (Arc::new(Mutex::new(cluster)), t0)
+    }
+
+    #[test]
+    fn driver_completes_and_attributes_latency() {
+        let (shared, t0) = two_shards();
+        let report = run_mix(&shared, &ShardMix::new(32, 8), t0);
+        assert_eq!(report.total_ops, 32 * 8);
+        assert_eq!(report.failed_ops, 0);
+        assert!(report.end > report.start);
+        assert!(report.kops_per_sec() > 0.0);
+        let served: u64 = report.per_shard.iter().map(LatencyStats::count).sum();
+        assert_eq!(served, 32 * 8);
+        for s in 0..2 {
+            assert!(report.shard_quantile_ns(s, 0.99) > 0, "shard {s} idle");
+        }
+    }
+
+    #[test]
+    fn driver_serves_scans_when_configured() {
+        let (shared, t0) = two_shards();
+        let mut mix = ShardMix::new(16, 16);
+        mix.read_fraction = 0.25;
+        mix.scan_fraction = 0.25;
+        mix.max_scan_len = 8;
+        let report = run_mix(&shared, &mix, t0);
+        assert_eq!(report.total_ops, 16 * 16);
+        assert_eq!(report.failed_ops, 0);
+        assert!(report.scans.count() > 0, "scan fraction must produce scans");
+        assert!(report.scanned_entries > 0, "scans must return entries");
+        assert!(report.scans.quantile_ns(0.99) > 0);
+        // Scans are scatter-gather: no shard is charged for them.
+        let served: u64 = report.per_shard.iter().map(LatencyStats::count).sum();
+        assert_eq!(served + report.scans.count(), 16 * 16);
     }
 
     #[test]

@@ -23,18 +23,23 @@
 //! (the version byte read back is incremented), so F pays the full
 //! read-then-write round trip per op. Zipfian key choice is Gray's
 //! algorithm (θ = 0.99) over hash-scrambled ranks, as in the YCSB core
-//! generator; keys are [`oxshard::workload_key`] so the same byte keyspace
+//! generator; keys are [`workload_key`] so the same byte keyspace
 //! drives both backends (and range-sharded clusters stay balanced). Range
 //! scans therefore walk the *scrambled* key order — the store's short-scan
 //! path is what is being measured, not locality of adjacent user ids.
 
+use crate::driver::{ClosedLoop, OpClass, OpGen, Outcome, RunReport};
 use lsmkv::{DbError, PutOutcome, SharedDb};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{Actor, Ctx, Executor, Prng, SimDuration, SimTime, Step};
-use oxshard::{workload_key, SharedCluster};
+use ox_sim::{Prng, SimDuration, SimTime, Step};
+use oxshard::ShardCluster;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The cluster handle clients share. All access is serialized through the
+/// simulation mutex (the cluster itself is single-threaded state).
+pub type SharedCluster = Arc<Mutex<ShardCluster>>;
 
 /// The six core YCSB workloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,11 +179,23 @@ impl Zipfian {
 /// Scrambles a zipfian rank into a key id in `[0, n)` (splitmix64 finalizer,
 /// YCSB's "scrambled zipfian").
 pub fn scramble(rank: u64, n: u64) -> u64 {
-    let mut z = rank.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    splitmix(rank) % n.max(1)
+}
+
+fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z % n.max(1)
+    z ^ (z >> 31)
+}
+
+/// 16-byte key for workload id `k`: an order-scrambling prefix (so range
+/// sharding sees a balanced keyspace) followed by the raw id.
+pub fn workload_key(k: u64) -> [u8; 16] {
+    let mut key = [0u8; 16];
+    key[..8].copy_from_slice(&splitmix(k).to_be_bytes());
+    key[8..].copy_from_slice(&k.to_be_bytes());
+    key
 }
 
 /// Outcome of a backend write.
@@ -189,6 +206,16 @@ pub enum YcsbPut {
     Stalled(SimTime),
     /// Typed failure (fault pressure); counted, not fatal.
     Failed(SimTime),
+}
+
+impl From<YcsbPut> for Outcome {
+    fn from(put: YcsbPut) -> Outcome {
+        match put {
+            YcsbPut::Done(t) => Outcome::done(OpClass::Write, t),
+            YcsbPut::Stalled(retry) => Outcome::Retry(retry),
+            YcsbPut::Failed(t) => Outcome::Failed(t),
+        }
+    }
 }
 
 /// Outcome of a backend read.
@@ -229,6 +256,13 @@ pub trait YcsbBackend: Clone + Send + 'static {
     /// One background maintenance step (flush/compaction or cluster GC);
     /// `Some(done)` when work was performed.
     fn maintain(&mut self, now: SimTime) -> Option<SimTime>;
+
+    /// The shard that served this handle's last put or get, for per-shard
+    /// latency attribution; `None` after a failure and on single-device
+    /// stacks.
+    fn last_shard(&self) -> Option<u32> {
+        None
+    }
 }
 
 /// [`YcsbBackend`] over the single-device LSM store.
@@ -321,12 +355,16 @@ impl YcsbBackend for LsmBackend {
 #[derive(Clone)]
 pub struct ShardBackend {
     cluster: SharedCluster,
+    last_shard: Option<u32>,
 }
 
 impl ShardBackend {
     /// Wraps a shared cluster handle.
     pub fn new(cluster: SharedCluster) -> ShardBackend {
-        ShardBackend { cluster }
+        ShardBackend {
+            cluster,
+            last_shard: None,
+        }
     }
 
     /// The wrapped handle.
@@ -341,14 +379,18 @@ impl YcsbBackend for ShardBackend {
     }
 
     fn put(&mut self, now: SimTime, key: &[u8], value: &[u8]) -> YcsbPut {
-        match self.cluster.lock().put(now, key, value) {
+        let out = self.cluster.lock().put(now, key, value);
+        self.last_shard = out.as_ref().ok().map(|&(shard, _)| shard);
+        match out {
             Ok((_, done)) => YcsbPut::Done(done),
             Err(_) => YcsbPut::Failed(now + FAIL_BACKOFF),
         }
     }
 
     fn get(&mut self, now: SimTime, key: &[u8]) -> YcsbGet {
-        match self.cluster.lock().get(now, key) {
+        let out = self.cluster.lock().get(now, key);
+        self.last_shard = out.as_ref().ok().map(|&(_, shard, _)| shard);
+        match out {
             Ok((value, _, done)) => YcsbGet {
                 value,
                 done,
@@ -379,6 +421,10 @@ impl YcsbBackend for ShardBackend {
 
     fn maintain(&mut self, now: SimTime) -> Option<SimTime> {
         self.cluster.lock().maintain(now).ok()
+    }
+
+    fn last_shard(&self) -> Option<u32> {
+        self.last_shard
     }
 }
 
@@ -419,87 +465,6 @@ impl YcsbConfig {
     }
 }
 
-/// Latency distribution of one operation class, nanoseconds.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    samples: Vec<u64>,
-}
-
-impl LatencyStats {
-    fn push(&mut self, ns: u64) {
-        self.samples.push(ns);
-    }
-
-    fn seal(&mut self) {
-        self.samples.sort_unstable();
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// The `q`-quantile (0..=1) in nanoseconds; 0 with no samples.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        self.samples[idx.min(self.samples.len() - 1)]
-    }
-}
-
-/// What one YCSB run measured.
-#[derive(Clone, Debug)]
-pub struct YcsbReport {
-    /// The mix.
-    pub workload: YcsbWorkload,
-    /// Stack label ("lsmkv" or "oxshard").
-    pub backend: &'static str,
-    /// Operations completed.
-    pub total_ops: u64,
-    /// Operations that surfaced a typed failure (fault pressure).
-    pub failed_ops: u64,
-    /// Write-stall retries absorbed by the closed loop.
-    pub stall_retries: u64,
-    /// Entries returned by scans (workload E coverage).
-    pub scanned_entries: u64,
-    /// Virtual span from start to the last completion.
-    pub duration: SimDuration,
-    /// Point-read latencies.
-    pub reads: LatencyStats,
-    /// Write-leg latencies (RMW and insert).
-    pub writes: LatencyStats,
-    /// Scan latencies.
-    pub scans: LatencyStats,
-}
-
-impl YcsbReport {
-    /// Mean throughput in thousands of operations per virtual second.
-    pub fn kops_per_sec(&self) -> f64 {
-        if self.duration.is_zero() {
-            return 0.0;
-        }
-        self.total_ops as f64 / self.duration.as_secs_f64() / 1000.0
-    }
-
-    /// The `q`-quantile across every operation class, nanoseconds.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let mut all: Vec<u64> = Vec::with_capacity(
-            self.reads.samples.len() + self.writes.samples.len() + self.scans.samples.len(),
-        );
-        all.extend_from_slice(&self.reads.samples);
-        all.extend_from_slice(&self.writes.samples);
-        all.extend_from_slice(&self.scans.samples);
-        if all.is_empty() {
-            return 0;
-        }
-        all.sort_unstable();
-        let idx = ((all.len() - 1) as f64 * q).round() as usize;
-        all[idx.min(all.len() - 1)]
-    }
-}
-
 /// The value written for key id `id` at version `ver`: key bytes, version,
 /// zero tail (cheap for the simulator, still verifiable).
 pub fn ycsb_value(id: u64, ver: u8, len: usize) -> Vec<u8> {
@@ -536,19 +501,18 @@ pub fn load<B: YcsbBackend>(backend: &mut B, cfg: &YcsbConfig, start: SimTime) -
                         backend.label(),
                         cfg.record_count
                     );
-                    t = retry;
-                    // Idle passes return `done <= t`: drained.
-                    while let Some(done) = backend.maintain(t) {
-                        if done <= t {
-                            break;
-                        }
-                        t = done;
-                    }
+                    t = drain(backend, retry);
                 }
             }
         }
     }
     // Leave the store quiescent so the measured phase starts clean.
+    drain(backend, t)
+}
+
+/// Runs maintenance passes from `t` until the store is idle; returns when.
+fn drain<B: YcsbBackend>(backend: &mut B, mut t: SimTime) -> SimTime {
+    // Idle passes return `done <= t`: drained.
     while let Some(done) = backend.maintain(t) {
         if done <= t {
             break;
@@ -558,30 +522,15 @@ pub fn load<B: YcsbBackend>(backend: &mut B, cfg: &YcsbConfig, start: SimTime) -
     t
 }
 
-struct Sink {
-    reads: LatencyStats,
-    writes: LatencyStats,
-    scans: LatencyStats,
-    total_ops: u64,
-    failed_ops: u64,
-    stall_retries: u64,
-    scanned_entries: u64,
-    end: SimTime,
-    clients_done: usize,
-}
-
-struct ClientActor<B: YcsbBackend> {
-    backend: B,
+/// One YCSB client's operation stream.
+struct YcsbGen {
     cfg: YcsbConfig,
     zipf: Arc<Zipfian>,
     inserted: Arc<AtomicU64>,
-    sink: Arc<Mutex<Sink>>,
-    obs: Obs,
     rng: Prng,
-    remaining: u64,
 }
 
-impl<B: YcsbBackend> ClientActor<B> {
+impl YcsbGen {
     /// A zipfian-scrambled key id over the loaded records.
     fn zipf_id(&mut self) -> u64 {
         scramble(self.zipf.next(&mut self.rng), self.cfg.record_count)
@@ -592,52 +541,20 @@ impl<B: YcsbBackend> ClientActor<B> {
         let count = self.inserted.load(Ordering::Relaxed).max(1);
         (count - 1).saturating_sub(self.zipf.next(&mut self.rng))
     }
-
-    fn record(&mut self, kind: OpKind, now: SimTime, done: SimTime) {
-        let ns = done.saturating_since(now).as_nanos();
-        let mut sink = self.sink.lock();
-        sink.total_ops += 1;
-        sink.end = sink.end.max(done);
-        match kind {
-            OpKind::Read => sink.reads.push(ns),
-            OpKind::Write => sink.writes.push(ns),
-            OpKind::Scan => sink.scans.push(ns),
-        }
-        drop(sink);
-        let name = match kind {
-            OpKind::Read => "ycsb.read_ns",
-            OpKind::Write => "ycsb.write_ns",
-            OpKind::Scan => "ycsb.scan_ns",
-        };
-        self.obs.metrics.observe(name, ns);
-    }
 }
 
-#[derive(Clone, Copy)]
-enum OpKind {
-    Read,
-    Write,
-    Scan,
-}
-
-impl<B: YcsbBackend> Actor for ClientActor<B> {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
-        if self.remaining == 0 {
-            self.sink.lock().clients_done += 1;
-            return Step::Done;
-        }
+impl<B: YcsbBackend> OpGen<B> for YcsbGen {
+    fn issue(&mut self, now: SimTime, backend: &mut B) -> Outcome {
         let (rmw, insert, scan) = self.cfg.workload.mix();
         let dice = self.rng.gen_f64();
-        let step = if dice < rmw {
+        if dice < rmw {
             // Read-modify-write on a zipfian key. A write stall retries the
             // whole cycle (the read is re-issued), as a closed loop would.
             let id = self.zipf_id();
             let key = workload_key(id);
-            let got = self.backend.get(now, &key);
+            let got = backend.get(now, &key);
             if got.failed {
-                self.sink.lock().failed_ops += 1;
-                self.remaining -= 1;
-                return Step::RunAt(got.done);
+                return Outcome::Failed(got.done);
             }
             let ver = if self.cfg.workload.dependent_rmw() {
                 // F: the new version depends on the bytes read back.
@@ -650,59 +567,31 @@ impl<B: YcsbBackend> Actor for ClientActor<B> {
                 (self.rng.gen_range(256)) as u8
             };
             let value = ycsb_value(id, ver, self.cfg.value_bytes);
-            match self.backend.put(got.done, &key, &value) {
-                YcsbPut::Done(t) => {
-                    self.record(OpKind::Write, now, t);
-                    self.remaining -= 1;
-                    Step::RunAt(t)
-                }
-                YcsbPut::Stalled(retry) => {
-                    self.sink.lock().stall_retries += 1;
-                    Step::RunAt(retry)
-                }
-                YcsbPut::Failed(t) => {
-                    self.sink.lock().failed_ops += 1;
-                    self.remaining -= 1;
-                    Step::RunAt(t)
-                }
-            }
+            backend.put(got.done, &key, &value).into()
         } else if dice < rmw + insert {
             // Insert a brand-new key (workloads D and E).
             let id = self.inserted.fetch_add(1, Ordering::Relaxed);
-            let key = workload_key(id);
-            let value = ycsb_value(id, 0, self.cfg.value_bytes);
-            match self.backend.put(now, &key, &value) {
-                YcsbPut::Done(t) => {
-                    self.record(OpKind::Write, now, t);
-                    self.remaining -= 1;
-                    Step::RunAt(t)
-                }
-                YcsbPut::Stalled(retry) => {
-                    // The id is already claimed; retry the same insert.
-                    self.inserted.fetch_sub(1, Ordering::Relaxed);
-                    self.sink.lock().stall_retries += 1;
-                    Step::RunAt(retry)
-                }
-                YcsbPut::Failed(t) => {
-                    self.sink.lock().failed_ops += 1;
-                    self.remaining -= 1;
-                    Step::RunAt(t)
-                }
+            let out = backend.put(
+                now,
+                &workload_key(id),
+                &ycsb_value(id, 0, self.cfg.value_bytes),
+            );
+            if let YcsbPut::Stalled(_) = out {
+                // The id is already claimed; retry the same insert.
+                self.inserted.fetch_sub(1, Ordering::Relaxed);
             }
+            out.into()
         } else if dice < rmw + insert + scan {
             // Short range scan from a zipfian start key (workload E).
             let id = self.zipf_id();
             let len = 1 + self.rng.gen_range(self.cfg.max_scan_len.max(1) as u64) as usize;
-            let out = self.backend.scan(now, &workload_key(id), len);
-            let mut sink = self.sink.lock();
-            if out.failed {
-                sink.failed_ops += 1;
+            let out = backend.scan(now, &workload_key(id), len);
+            Outcome::Done {
+                class: OpClass::Scan,
+                done: out.done,
+                failed: out.failed,
+                scanned: out.entries,
             }
-            sink.scanned_entries += out.entries as u64;
-            drop(sink);
-            self.record(OpKind::Scan, now, out.done);
-            self.remaining -= 1;
-            Step::RunAt(out.done)
         } else {
             // Point read: zipfian, or latest for workload D.
             let id = if self.cfg.workload.latest() {
@@ -710,36 +599,13 @@ impl<B: YcsbBackend> Actor for ClientActor<B> {
             } else {
                 self.zipf_id()
             };
-            let got = self.backend.get(now, &workload_key(id));
-            if got.failed {
-                self.sink.lock().failed_ops += 1;
+            let got = backend.get(now, &workload_key(id));
+            Outcome::Done {
+                class: OpClass::Read,
+                done: got.done,
+                failed: got.failed,
+                scanned: 0,
             }
-            self.record(OpKind::Read, now, got.done);
-            self.remaining -= 1;
-            Step::RunAt(got.done)
-        };
-        step
-    }
-}
-
-struct MaintainActor<B: YcsbBackend> {
-    backend: B,
-    sink: Arc<Mutex<Sink>>,
-    clients: usize,
-    period: SimDuration,
-}
-
-impl<B: YcsbBackend> Actor for MaintainActor<B> {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
-        if self.sink.lock().clients_done >= self.clients {
-            return Step::Done;
-        }
-        match self.backend.maintain(now) {
-            // Real work consumed virtual time: chase it. An idle pass
-            // returns `done == now`; sleep a full period so the actor
-            // cannot spin at nanosecond granularity.
-            Some(done) if done > now => Step::RunAt(done),
-            _ => Step::RunAt(now + self.period),
         }
     }
 }
@@ -752,85 +618,33 @@ pub fn run_ycsb<B: YcsbBackend>(
     cfg: &YcsbConfig,
     obs: &Obs,
     start: SimTime,
-) -> (YcsbReport, SimTime) {
-    let sink = Arc::new(Mutex::new(Sink {
-        reads: LatencyStats::default(),
-        writes: LatencyStats::default(),
-        scans: LatencyStats::default(),
-        total_ops: 0,
-        failed_ops: 0,
-        stall_retries: 0,
-        scanned_entries: 0,
-        end: start,
-        clients_done: 0,
-    }));
+) -> (RunReport, SimTime) {
     let zipf = Arc::new(Zipfian::new(cfg.record_count, cfg.theta));
     let inserted = Arc::new(AtomicU64::new(cfg.record_count));
-    let mut ex = Executor::new();
     let rng = Prng::seed_from_u64(cfg.seed ^ (cfg.workload.letter().as_bytes()[0] as u64));
-    let clients = cfg.clients.max(1);
-    let per_client = cfg.operations / clients as u64;
-    let mut ids = Vec::new();
+    let clients = cfg.clients.max(1) as u64;
+    let mut run = ClosedLoop::new(start, SimDuration::from_secs(1), Some(obs));
     for c in 0..clients {
-        let extra = u64::from((c as u64) < cfg.operations % clients as u64);
-        let id = ex.spawn(
-            Box::new(ClientActor {
-                backend: backend.clone(),
-                cfg: *cfg,
-                zipf: zipf.clone(),
-                inserted: inserted.clone(),
-                sink: sink.clone(),
-                obs: obs.clone(),
-                rng: rng.split(c as u64),
-                remaining: per_client + extra,
-            }),
-            start,
-        );
-        ids.push(id);
+        let gen = YcsbGen {
+            cfg: *cfg,
+            zipf: zipf.clone(),
+            inserted: inserted.clone(),
+            rng: rng.split(c),
+        };
+        let ops = cfg.operations / clients + u64::from(c < cfg.operations % clients);
+        run.client(start, backend.clone(), gen, ops);
     }
-    ex.spawn(
-        Box::new(MaintainActor {
-            backend: backend.clone(),
-            sink: sink.clone(),
-            clients,
-            period: SimDuration::from_micros(500),
-        }),
-        start,
-    );
-    while !ids.iter().all(|&id| ex.is_done(id)) {
-        assert!(
-            ex.step_one(),
-            "deadlock: ycsb clients pending but nothing scheduled"
-        );
-    }
-    let mut g = sink.lock();
-    g.reads.seal();
-    g.writes.seal();
-    g.scans.seal();
-    let end = g.end;
-    let report = YcsbReport {
-        workload: cfg.workload,
-        backend: backend.label(),
-        total_ops: g.total_ops,
-        failed_ops: g.failed_ops,
-        stall_retries: g.stall_retries,
-        scanned_entries: g.scanned_entries,
-        duration: end.saturating_since(start),
-        reads: std::mem::take(&mut g.reads),
-        writes: std::mem::take(&mut g.writes),
-        scans: std::mem::take(&mut g.scans),
-    };
-    drop(g);
-    // Drain background work so a follow-up run starts quiescent. Idle
-    // passes return `done <= t`: drained.
-    let mut backend = backend.clone();
-    let mut t = end;
-    while let Some(done) = backend.maintain(t) {
-        if done <= t {
-            break;
-        }
-        t = done;
-    }
+    let mut maintainer = backend.clone();
+    run.background(start, move |now| match maintainer.maintain(now) {
+        // Real work consumed virtual time: chase it. An idle pass returns
+        // `done == now`; sleep a full period so the actor cannot spin at
+        // nanosecond granularity.
+        Some(done) if done > now => Step::RunAt(done),
+        _ => Step::RunAt(now + SimDuration::from_micros(500)),
+    });
+    let report = run.run();
+    // Drain background work so a follow-up run starts quiescent.
+    let t = drain(&mut backend.clone(), report.end);
     (report, t)
 }
 
@@ -864,6 +678,14 @@ mod tests {
             seen.insert(id);
         }
         assert!(seen.len() > 480, "scramble collides too much");
+    }
+
+    #[test]
+    fn workload_keys_are_unique() {
+        let mut keys: Vec<[u8; 16]> = (0..1000).map(workload_key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 1000);
     }
 
     #[test]

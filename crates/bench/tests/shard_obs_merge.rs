@@ -1,4 +1,4 @@
-//! Regression test for the sharded obs-merge gap (ISSUE 6 satellite 4).
+//! Regression test for the sharded obs-merge gap.
 //!
 //! N shard devices share one [`Obs`] pipeline. Before per-scope
 //! publication existed, every device published its point-in-time per-PU
@@ -10,9 +10,11 @@
 //! (shard, PU) gauge present, republication idempotent, no unscoped
 //! collisions, and counters/trace reconciling across the fleet.
 
+use ox_bench::shard_scale::{run_mix, ShardMix};
+use ox_bench::ycsb::SharedCluster;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::{Obs, TracePhase};
-use oxshard::{drive, ClusterConfig, ShardCluster, SharedCluster, WorkloadConfig};
+use oxshard::{ClusterConfig, ShardCluster};
 use std::sync::Arc;
 
 const SHARDS: u32 = 3;
@@ -30,7 +32,7 @@ fn concurrent_shard_dumps_merge_without_clobbering() {
     let pus = cluster.device(0).unwrap().geometry().total_pus() as usize;
     let shared: SharedCluster = Arc::new(Mutex::new(cluster));
 
-    let report = drive(&shared, &WorkloadConfig::new(48, 6), t0);
+    let report = run_mix(&shared, &ShardMix::new(48, 6), t0);
     assert_eq!(report.failed_ops, 0);
     let horizon = report.end;
 

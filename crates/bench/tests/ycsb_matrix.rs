@@ -10,8 +10,9 @@
 use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{matrix_seeds, DeviceConfig, FaultMix, Geometry, OcssdDevice, SharedDevice};
+use ox_bench::driver::RunReport;
 use ox_bench::ycsb::{
-    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
+    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, SharedCluster, YcsbConfig,
     YcsbWorkload,
 };
 use ox_core::faultharness::FaultCase;
@@ -19,7 +20,7 @@ use ox_core::{Media, OcssdMedia};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use oxshard::{ClusterConfig, ShardCluster, SharedCluster};
+use oxshard::{ClusterConfig, ShardCluster};
 use std::sync::Arc;
 
 fn test_config(wl: YcsbWorkload) -> YcsbConfig {
@@ -62,16 +63,14 @@ fn lsm_stack(fault_seed: u64) -> SharedDb {
 }
 
 /// Fingerprint of one report: every number that feeds the fig_ycsb table.
-fn fingerprint(r: &YcsbReport) -> String {
+fn fingerprint(r: &RunReport) -> String {
     format!(
-        "{}/{} ops={} failed={} stalls={} scanned={} dur={:?} p50={} p95={} p99={}",
-        r.workload.letter(),
-        r.backend,
+        "ops={} failed={} stalls={} scanned={} dur={:?} p50={} p95={} p99={}",
         r.total_ops,
         r.failed_ops,
         r.stall_retries,
         r.scanned_entries,
-        r.duration,
+        r.duration(),
         r.quantile_ns(0.50),
         r.quantile_ns(0.95),
         r.quantile_ns(0.99),

@@ -220,74 +220,90 @@ impl GarbageCollector {
 
         let mut t = now;
         if !live.is_empty() {
-            wal.append(WalRecord::TxBegin { txid });
-            let mut cursor = 0usize;
-            while cursor < live.len() {
-                // One ws_min batch: pad with repeats of the last live
-                // sector if the tail is short.
-                let mut batch: Vec<Ppa> = Vec::with_capacity(geo.ws_min as usize);
-                let mut lpns: Vec<Option<u64>> = Vec::with_capacity(geo.ws_min as usize);
-                for k in 0..geo.ws_min as usize {
-                    if let Some(&(ppa, lpn)) = live.get(cursor + k) {
-                        batch.push(ppa);
-                        lpns.push(Some(lpn));
-                    } else {
-                        batch.push(live[live.len() - 1].0);
-                        lpns.push(None);
-                        pass.padded_sectors += 1;
+            let begin = wal.append(WalRecord::TxBegin { txid });
+            let relocated = 'relocate: {
+                let mut cursor = 0usize;
+                while cursor < live.len() {
+                    // One ws_min batch: pad with repeats of the last live
+                    // sector if the tail is short.
+                    let mut batch: Vec<Ppa> = Vec::with_capacity(geo.ws_min as usize);
+                    let mut lpns: Vec<Option<u64>> = Vec::with_capacity(geo.ws_min as usize);
+                    for k in 0..geo.ws_min as usize {
+                        if let Some(&(ppa, lpn)) = live.get(cursor + k) {
+                            batch.push(ppa);
+                            lpns.push(Some(lpn));
+                        } else {
+                            batch.push(live[live.len() - 1].0);
+                            lpns.push(None);
+                            pass.padded_sectors += 1;
+                        }
                     }
-                }
-                cursor += geo.ws_min as usize;
+                    cursor += geo.ws_min as usize;
 
-                // Destination in the same group, never the victim chunk.
-                // A program failure on the destination freezes it; the
-                // write point is retired and the batch retries on a
-                // fresh chunk. Every retry permanently consumes a chunk
-                // from provisioning, so the loop is bounded by the
-                // healthy-chunk supply.
-                let (slot, comp) = loop {
-                    let slot = loop {
-                        let Some(slot) = prov.allocate_in_group(group) else {
-                            // Group out of space: fall back to any group.
-                            match prov.allocate_horizontal() {
-                                Some(s) => break s,
-                                None => return Err(WalError::LogFull),
+                    // Destination in the same group, never the victim chunk.
+                    // A program failure on the destination freezes it; the
+                    // write point is retired and the batch retries on a
+                    // fresh chunk. Every retry permanently consumes a chunk
+                    // from provisioning, so the loop is bounded by the
+                    // healthy-chunk supply.
+                    let (slot, comp) = loop {
+                        let slot = loop {
+                            let Some(slot) = prov.allocate_in_group(group) else {
+                                // Group out of space: fall back to any group.
+                                match prov.allocate_horizontal() {
+                                    Some(s) => break s,
+                                    None => break 'relocate Err(WalError::LogFull),
+                                }
+                            };
+                            if slot.chunk != victim {
+                                break slot;
                             }
                         };
-                        if slot.chunk != victim {
-                            break slot;
+                        match io.copy(t, &batch, slot.chunk) {
+                            Ok(comp) => break (slot, comp),
+                            Err(
+                                ocssd::DeviceError::MediaFailure(_)
+                                | ocssd::DeviceError::ChunkOffline(_)
+                                | ocssd::DeviceError::InvalidChunkState { .. },
+                            ) => {
+                                prov.mark_offline(slot.chunk);
+                                self.stats.copy_failovers += 1;
+                                self.obs.metrics.record("gc.copy_failover", 0);
+                            }
+                            Err(e) => break 'relocate Err(e.into()),
                         }
                     };
-                    match io.copy(t, &batch, slot.chunk) {
-                        Ok(comp) => break (slot, comp),
-                        Err(
-                            ocssd::DeviceError::MediaFailure(_)
-                            | ocssd::DeviceError::ChunkOffline(_)
-                            | ocssd::DeviceError::InvalidChunkState { .. },
-                        ) => {
-                            prov.mark_offline(slot.chunk);
-                            self.stats.copy_failovers += 1;
-                            self.obs.metrics.record("gc.copy_failover", 0);
+                    t = comp.done;
+                    for (k, lpn) in lpns.iter().enumerate() {
+                        if let Some(lpn) = lpn {
+                            let dst = slot.chunk.ppa(slot.sector + k as u32);
+                            map.map(*lpn, dst);
+                            wal.append(WalRecord::MapUpdate {
+                                txid,
+                                lpn: *lpn,
+                                ppa_linear: dst.linear(&geo),
+                            });
+                            pass.moved_sectors += 1;
                         }
-                        Err(e) => return Err(e.into()),
-                    }
-                };
-                t = comp.done;
-                for (k, lpn) in lpns.iter().enumerate() {
-                    if let Some(lpn) = lpn {
-                        let dst = slot.chunk.ppa(slot.sector + k as u32);
-                        map.map(*lpn, dst);
-                        wal.append(WalRecord::MapUpdate {
-                            txid,
-                            lpn: *lpn,
-                            ppa_linear: dst.linear(&geo),
-                        });
-                        pass.moved_sectors += 1;
                     }
                 }
+                wal.append(WalRecord::TxCommit { txid });
+                wal.commit(t)
+            };
+            // A pass that fails before its commit is rolled back whole: the
+            // moved sectors map back to the victim (which still holds them)
+            // and the transaction's records leave the log's buffer, so
+            // retried passes cannot pile up uncommitted records.
+            match relocated {
+                Ok(done) => t = done,
+                Err(e) => {
+                    for &(ppa, lpn) in &live[..pass.moved_sectors as usize] {
+                        map.map(lpn, ppa);
+                    }
+                    wal.discard_from(begin);
+                    return Err(e);
+                }
             }
-            wal.append(WalRecord::TxCommit { txid });
-            t = wal.commit(t)?;
         }
 
         // Victim is now dead; erase and recycle. An erase failure
@@ -705,5 +721,40 @@ mod tests {
         assert_eq!(pass.victims, 0);
         assert_eq!(pass.moved_sectors, 0);
         assert_eq!(pass.done, r.t);
+    }
+
+    #[test]
+    fn failed_pass_rolls_back_its_remaps_and_log_records() {
+        let mut r = rig();
+        let chunk_lpns = r.geo.sectors_per_chunk as u64;
+        let live = 2 * r.geo.ws_min as u64; // two relocation batches
+        fill(&mut r, 0..chunk_lpns, 0);
+        fill(&mut r, live..chunk_lpns, 0);
+        // Fill the log ring so the pass's commit cannot land: the copies
+        // succeed, then the transaction fails.
+        loop {
+            r.wal.append(WalRecord::TxBegin { txid: 0 });
+            match r.wal.commit(r.t) {
+                Ok(t) => r.t = t,
+                Err(WalError::LogFull) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        let lsn = r.wal.next_lsn();
+        let pending = r.wal.pending_records();
+        let before: Vec<_> = (0..live).map(|l| r.map.lookup(l).unwrap()).collect();
+        let victim = before[0].chunk_addr().linear(&r.geo);
+        let valid = r.map.valid_count(victim);
+
+        r.gc.mark_group(0);
+        let err =
+            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
+                .unwrap_err();
+        assert_eq!(err, WalError::LogFull);
+        let after: Vec<_> = (0..live).map(|l| r.map.lookup(l).unwrap()).collect();
+        assert_eq!(after, before, "moved sectors map back to the victim");
+        assert_eq!(r.map.valid_count(victim), valid);
+        assert_eq!(r.wal.pending_records(), pending, "no records left behind");
+        assert_eq!(r.wal.next_lsn(), lsn, "the pass's LSNs are reused");
     }
 }

@@ -36,7 +36,6 @@
 pub mod badblock;
 pub mod checkpoint;
 pub mod codec;
-pub mod contract;
 pub mod faultharness;
 pub mod gc;
 pub mod landscape;

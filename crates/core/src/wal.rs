@@ -252,6 +252,21 @@ impl Wal {
         lsn
     }
 
+    /// Records buffered since the last commit.
+    pub fn pending_records(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Drops the buffered records from LSN `lsn` on and reuses their LSNs:
+    /// the rollback of a transaction that failed before its commit. Records
+    /// already committed are never touched.
+    pub fn discard_from(&mut self, lsn: u64) {
+        let first_pending = self.next_lsn - self.pending.len() as u64;
+        let lsn = lsn.clamp(first_pending, self.next_lsn);
+        self.pending.truncate((lsn - first_pending) as usize);
+        self.next_lsn = lsn;
+    }
+
     /// Highest LSN guaranteed durable.
     pub fn durable_lsn(&self) -> u64 {
         self.durable_lsn

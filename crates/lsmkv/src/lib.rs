@@ -2,9 +2,9 @@
 //!
 //! A RocksDB-like storage engine used to reproduce the paper's Figures 5
 //! and 6: memtable + immutable memtables, SSTables with data blocks, index
-//! and bloom filters, leveled compaction with L0 stall-based rate limiting,
-//! and a `db_bench`-style workload driver (fill-sequential, read-sequential,
-//! read-random with 1/2/4/8 client threads).
+//! and bloom filters, and leveled compaction with L0 stall-based rate
+//! limiting. The `db_bench`-style workloads that drive it live in
+//! `ox_bench::dbbench`.
 //!
 //! Two deliberate RocksDB-isms matter for the paper's argument:
 //!
@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bench;
 mod block;
 mod bloom;
 mod compaction;

@@ -1,8 +1,7 @@
 //! End-to-end tests of the LSM store over the LightLSM FTL.
 
 use lightlsm::{LightLsm, LightLsmConfig, Placement};
-use lsmkv::bench::{bench_key, bench_value, run_workload, BenchConfig, Workload};
-use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, SharedDb, TableStore};
+use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, TableStore};
 use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{SimDuration, SimTime};
@@ -38,6 +37,20 @@ fn small_db(placement: Placement) -> Db {
         ..DbConfig::default()
     };
     Db::new(store(placement), cfg)
+}
+
+/// 16-byte key for index `i` (the db_bench key format).
+fn bench_key(i: u64) -> [u8; 16] {
+    let mut k = [0u8; 16];
+    k.copy_from_slice(format!("{i:016}").as_bytes());
+    k
+}
+
+/// A `len`-byte value that starts with `key` and is zero after it.
+fn bench_value(key: &[u8], len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    v[..key.len()].copy_from_slice(key);
+    v
 }
 
 /// Puts with stall-retry (drains background work while stalled).
@@ -276,44 +289,6 @@ fn bloom_filters_short_circuit_misses() {
         s.bloom_skips,
         s.get_blocks_read
     );
-}
-
-#[test]
-fn db_bench_fill_then_read_workloads_run() {
-    let db = SharedDb::new(small_db(Placement::Horizontal));
-    let fill = BenchConfig {
-        ops_per_client: 1500,
-        ..BenchConfig::paper(Workload::FillSequential, 2, 1500)
-    };
-    let (report, t1) = run_workload(&db, fill, SimTime::ZERO);
-    assert_eq!(report.total_ops, 3000);
-    assert!(report.kops_per_sec > 0.0);
-    assert!(report.series.total() == 3000);
-
-    let read_seq = BenchConfig {
-        key_space: 3000,
-        ..BenchConfig::paper(Workload::ReadSequential, 2, 500)
-    };
-    let (rs, t2) = run_workload(&db, read_seq, t1);
-    assert_eq!(rs.total_ops, 1000);
-
-    let read_rand = BenchConfig {
-        key_space: 3000,
-        ..BenchConfig::paper(Workload::ReadRandom, 2, 300)
-    };
-    let (rr, _) = run_workload(&db, read_rand, t2);
-    assert_eq!(rr.total_ops, 600);
-    // The headline shape: sequential reads amortize block reads, random
-    // reads pay one ~96 KB block per op.
-    assert!(
-        rs.kops_per_sec > rr.kops_per_sec,
-        "readseq {} must beat readrandom {}",
-        rs.kops_per_sec,
-        rr.kops_per_sec
-    );
-    // Random reads over the fill find their data.
-    let hits = db.stats().hits;
-    assert!(hits > 0);
 }
 
 #[test]

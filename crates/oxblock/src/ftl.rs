@@ -932,6 +932,11 @@ impl BlockFtl {
         self.wal.bytes_written()
     }
 
+    /// WAL records buffered but not yet committed.
+    pub fn wal_pending_records(&self) -> usize {
+        self.wal.pending_records()
+    }
+
     /// The collector's currently marked group.
     pub fn gc_marked_group(&self) -> u32 {
         self.gc.marked_group()

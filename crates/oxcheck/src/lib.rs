@@ -134,8 +134,6 @@ pub struct Config {
     pub l2_allow: Vec<String>,
     /// Path prefixes whose non-test code is held to L3.
     pub l3_scope: Vec<String>,
-    /// Exceptions within the L3 scope (in-crate bench harnesses).
-    pub l3_exclude: Vec<String>,
     /// Path prefixes whose non-test code is held to L5/L7 (the storage
     /// crates plus the simulation substrate, whose hash iteration would
     /// leak into every consumer).
@@ -164,7 +162,6 @@ impl Default for Config {
                 "crates/iosched/src/",
                 "crates/oxshard/src/",
             ]),
-            l3_exclude: s(&["crates/lsmkv/src/bench.rs"]),
             l5_scope: s(&[
                 "crates/ocssd/src/",
                 "crates/core/src/",
@@ -195,10 +192,6 @@ impl Config {
         self.l3_scope
             .iter()
             .any(|p| rel_path.starts_with(p.as_str()))
-            && !self
-                .l3_exclude
-                .iter()
-                .any(|p| rel_path.starts_with(p.as_str()))
     }
 
     pub(crate) fn l5_in_scope(&self, rel_path: &str) -> bool {

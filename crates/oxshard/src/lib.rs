@@ -14,20 +14,16 @@
 //!   directory rebuilt from the mapping after a crash.
 //! * [`cluster`] — the serving layer: routing, scatter-gather scans,
 //!   bad-block-driven rebalancing, cluster-wide crash recovery.
-//! * [`clients`] — thousands of cooperative virtual-time clients on the
-//!   [`ox_sim::Executor`], with per-shard latency attribution.
 //!
 //! Correctness is proptest-driven (`tests/routing_proptests.rs`,
 //! `tests/crash_fault_proptests.rs`), swept across seeds × shard counts ×
 //! geometries by the `shard-matrix` CI job. See `docs/sharding.md`.
 
-pub mod clients;
 pub mod cluster;
 pub mod error;
 pub mod router;
 pub mod store;
 
-pub use clients::{drive, workload_key, DriveReport, SharedCluster, WorkloadConfig};
 pub use cluster::{ClusterConfig, ClusterStats, ScanEntry, ShardCluster};
 pub use error::ShardError;
 pub use router::{Router, Sharding, SLOTS};

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example kv_store`
 
+use ox_bench::dbbench::{bench_key, bench_value};
 use ox_workbench::lightlsm::{LightLsm, LightLsmConfig, Placement};
-use ox_workbench::lsmkv::bench::{bench_key, bench_value};
 use ox_workbench::lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, TableStore};
 use ox_workbench::ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_workbench::ox_core::{Media, OcssdMedia};

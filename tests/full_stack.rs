@@ -2,8 +2,8 @@
 //! the simulated Open-Channel SSD, including crash recovery through every
 //! layer.
 
+use ox_bench::dbbench::{bench_key, bench_value, run_workload, BenchConfig, Workload};
 use ox_workbench::lightlsm::{LightLsm, LightLsmConfig, Placement};
-use ox_workbench::lsmkv::bench::{bench_key, bench_value, run_workload, BenchConfig, Workload};
 use ox_workbench::lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ox_workbench::ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_workbench::ox_core::{Media, OcssdMedia};
@@ -344,10 +344,10 @@ fn read_workloads_after_fill_have_paper_ordering() {
 
     let _ = fill_report;
     assert!(
-        rs_report.kops_per_sec > 3.0 * rr_report.kops_per_sec,
+        rs_report.kops_per_sec() > 3.0 * rr_report.kops_per_sec(),
         "read-seq ({:.1}k) >> read-random ({:.1}k): the 96 KB block tax",
-        rs_report.kops_per_sec,
-        rr_report.kops_per_sec
+        rs_report.kops_per_sec(),
+        rr_report.kops_per_sec()
     );
     // The write-back premise (single-op write ack ≪ media read) is asserted
     // at the device level in ocssd's unit tests; under sustained fill the

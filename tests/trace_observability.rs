@@ -5,8 +5,8 @@
 //! strictly monotone sequence numbers, and per-subsystem byte counters that
 //! reconcile with the independent `ocssd::stats` accounting.
 
+use ox_bench::dbbench::{run_workload, BenchConfig, Workload};
 use ox_workbench::lightlsm::{LightLsm, LightLsmConfig};
-use ox_workbench::lsmkv::bench::{run_workload, BenchConfig, Workload};
 use ox_workbench::lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ox_workbench::ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_workbench::ox_core::{Media, OcssdMedia};
